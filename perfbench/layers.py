@@ -203,9 +203,14 @@ def _percentile_ms(durations: List[float], q: float) -> float:
     return 1000.0 * float(np.percentile(durations, q)) if durations else 0.0
 
 
-def derive(tracer, facts: Dict[str, Any], untraced_wall: float
+def derive(tracer, facts: Dict[str, Any], call_cost: float
            ) -> Dict[str, float]:
-    """Every per-layer metric of one traced workload pass."""
+    """Every per-layer metric of one traced workload pass.
+
+    ``call_cost`` is the measured extra seconds of one wrapped call;
+    ``trace.overhead`` is the traced wall time over that time minus
+    ``call_cost`` per recorded span.
+    """
     s = _Spans(tracer)
     c = tracer.counters
     stages = facts["stages"]
@@ -279,7 +284,8 @@ def derive(tracer, facts: Dict[str, Any], untraced_wall: float
         "swap.load_s": swap_total - pause,
         "swap.pause_ms": 1000.0 * pause,
         "trace.coverage": s.layer_self / s.wall,
-        "trace.overhead": s.wall / untraced_wall,
+        "trace.overhead": s.wall / (s.wall
+                                    - call_cost * len(tracer.spans)),
     }
 
 

@@ -6,9 +6,8 @@ Usage (from the repository root)::
         --seconds 6 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` runs the
-workload once untraced and once with every layer wrapped, and prints
-the per-layer metrics (including the tracing overhead against the
-untraced pass).  The last line of standard output is one JSON object
+workload with every layer wrapped and prints the per-layer metrics,
+including the tracing overhead.  The last line of standard output is one JSON object
 with the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
 The host fingerprint, the failed operations, the ladder probes, the
 metrics and (traced) every span are written under
@@ -138,30 +137,17 @@ def main(argv=None) -> int:
     results = OUT / "results"
     results.mkdir(parents=True, exist_ok=True)
 
-    def one_pass(tracer, name):
-        path = workdir / name
-        path.mkdir(parents=True)
-        try:
-            return workloads.run_workload(
-                args.workload, args.seed, args.seconds, path, SRC,
-                import_s, tracer)
-        finally:
-            shutil.rmtree(path, ignore_errors=True)
-
+    tracer = Tracer()
+    if args.trace:
+        tracer.install(layers.targets())
     try:
-        plain = Tracer()
-        facts = one_pass(plain, "untraced")
-        untraced_wall = plain.wall()
+        workdir.mkdir(parents=True)
+        facts = workloads.run_workload(args.workload, args.seed,
+                                       args.seconds, workdir, SRC, import_s,
+                                       tracer)
         tally = facts["tally"]
         if args.trace:
-            tracer = Tracer()
-            tracer.install(layers.targets())
-            try:
-                facts = one_pass(tracer, "traced")
-            finally:
-                tracer.uninstall()
-            tally.merge(facts["tally"])
-            metrics = layers.derive(tracer, facts, untraced_wall)
+            metrics = layers.derive(tracer, facts, tracer.call_cost())
             units = layers.PER_LAYER
             tracer.write(results / ("%s.spans.json" % tag))
             for root, name, total, calls in layers.table(tracer)[:30]:
@@ -173,6 +159,7 @@ def main(argv=None) -> int:
             metrics = workloads.end_to_end(facts, peak_rss_mb)
             units = workloads.END_TO_END
     finally:
+        tracer.uninstall()
         shutil.rmtree(workdir, ignore_errors=True)
 
     host = fingerprint(kernels.get_mode())

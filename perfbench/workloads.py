@@ -117,12 +117,6 @@ class Tally:
             if check:
                 self.wrong.append(problem)
 
-    def merge(self, other: "Tally") -> None:
-        self.attempted += other.attempted
-        self.failed += other.failed
-        self.problems += other.problems
-        self.wrong += other.wrong
-
 
 def _setup_refresh(overrides: List[str], artifact_dir: pathlib.Path):
     """Config validation, ``Pipeline`` construction and kernel warm-up."""

@@ -84,11 +84,16 @@ def atomic_write_text(path: PathLike, text: str,
     return atomic_write_bytes(path, text.encode(encoding))
 
 
-def atomic_savez(path: PathLike, arrays: dict,
-                 compressed: bool = True) -> pathlib.Path:
-    """``np.savez(_compressed)`` through the atomic writer."""
+def atomic_savez(path: PathLike, arrays: dict) -> pathlib.Path:
+    """``np.savez`` through the atomic writer.
+
+    Uncompressed: on a 4x-catalog index set zlib made the write ~50x
+    slower (1.39 vs 0.024 s) for a 1.7x smaller file.  ``np.load`` reads
+    compressed archives as well, so files written by
+    ``np.savez_compressed`` still load.
+    """
     with atomic_writer(path, "wb") as handle:
-        (np.savez_compressed if compressed else np.savez)(handle, **arrays)
+        np.savez(handle, **arrays)
     return pathlib.Path(path)
 
 

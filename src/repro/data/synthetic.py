@@ -18,7 +18,8 @@ are exactly reproducible from a seed.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+import numbers
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,9 +66,59 @@ class SimulatorConfig:
     price_scale: float = 1.0
     seed: int = 7
 
+    def __post_init__(self):
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError("%s must be an integer >= 1, got %r"
+                                 % (name, value))
+        for name, (accepts, expected) in _REALS.items():
+            value = getattr(self, name)
+            if not _is_real(value) or not accepts(value):
+                raise ValueError("%s must be a number %s, got %r"
+                                 % (name, expected, value))
+
     @property
     def num_leaves(self) -> int:
         return self.tree_branching ** self.tree_depth
+
+
+#: entity counts, tree shape and term slots: integers >= 1 (a zero slot
+#: count would make ``path[-0:]`` the whole path)
+_COUNTS = ("num_queries", "num_items", "num_ads", "num_users", "num_brands",
+           "num_shops", "tree_depth", "tree_branching", "terms_per_category",
+           "query_term_slots", "title_term_slots", "bid_word_slots")
+#: real-valued knobs: name -> (predicate, what it requires)
+_REALS = {
+    "sessions_per_user_day": (lambda v: 0 < v < np.inf, "> 0 and finite"),
+    "clicks_per_session": (lambda v: 0 < v < np.inf, "> 0 and finite"),
+    "price_scale": (lambda v: 0 < v < np.inf, "> 0 and finite"),
+    "ad_click_share": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "broad_query_share": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "tree_locality": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "ring_concentration": (lambda v: 0 <= v < np.inf, ">= 0 and finite"),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(a, p=p)`` searches for its draw.
+
+    ``choice`` re-validates ``p`` on every call; a caller drawing many
+    times from one fixed ``p`` builds this once and calls
+    :meth:`SponsoredSearchSimulator._draw` — the same single
+    ``random()`` draw and the same index.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 class SponsoredSearchSimulator:
@@ -88,11 +139,9 @@ class SponsoredSearchSimulator:
         # an entity's terms are drawn from its category's root-to-node
         # path, giving ancestors shared terms (semantic similarity).
         vocab_size = len(tree) * cfg.terms_per_category
-        self._term_pool = {
-            node: np.arange(node * cfg.terms_per_category,
-                            (node + 1) * cfg.terms_per_category)
-            for node in range(len(tree))
-        }
+        #: node -> (non-root path nodes, CDF of the depth-weighted
+        #: choice among them)
+        self._paths: Dict[int, Tuple[List[int], np.ndarray]] = {}
         queries = self._make_queries(tree)
         items = self._make_items(tree)
         ads = self._make_ads(tree)
@@ -106,20 +155,29 @@ class SponsoredSearchSimulator:
         Deeper path nodes contribute more terms so specific queries look
         specific; the root contributes none (it is a catch-all).
         """
-        path = [n for n in tree.path(node) if n != 0]
-        if not path:
-            path = [0]
+        cached = self._paths.get(node)
+        if cached is None:
+            path = [n for n in tree.path(node) if n != 0] or [0]
+            weights = np.arange(1, len(path) + 1, dtype=np.float64)
+            weights /= weights.sum()
+            cached = self._paths[node] = (path, _choice_cdf(weights))
+        path, cdf = cached
+        # node n's term pool is [n * per, (n + 1) * per); a uniform pick
+        # from it is ``Generator.choice(pool)``'s one integers() draw
+        per = self.config.terms_per_category
         slots = np.full(count, PAD, dtype=np.int64)
-        weights = np.arange(1, len(path) + 1, dtype=np.float64)
-        weights /= weights.sum()
         # one term per path node guaranteed, remaining slots random
         take = min(count, len(path))
         for i, n in enumerate(path[-take:]):
-            slots[i] = self.rng.choice(self._term_pool[n])
+            slots[i] = n * per + self.rng.integers(0, per)
         for i in range(take, count):
-            n = path[self.rng.choice(len(path), p=weights)]
-            slots[i] = self.rng.choice(self._term_pool[n])
+            n = path[self._draw(cdf)]
+            slots[i] = n * per + self.rng.integers(0, per)
         return slots
+
+    def _draw(self, cdf: np.ndarray) -> int:
+        """``Generator.choice(len(cdf), p=p)`` for ``cdf = _choice_cdf(p)``."""
+        return int(cdf.searchsorted(self.rng.random(), side="right"))
 
     def _make_queries(self, tree: CategoryTree) -> QueryCatalog:
         cfg = self.config
@@ -179,44 +237,50 @@ class SponsoredSearchSimulator:
         leaves = tree.leaves
         alpha = np.full(len(leaves), 0.15)
         self._user_interests = self.rng.dirichlet(alpha, size=cfg.num_users)
+        self._interest_cdfs = np.cumsum(self._user_interests, axis=1)
+        self._interest_cdfs /= self._interest_cdfs[:, -1:]
         self._leaves = np.asarray(leaves)
         # queries grouped by compatibility with a leaf: a query matches a
         # leaf if its category is the leaf or one of its ancestors
-        self._queries_for_leaf = {}
         q_cat = self.universe.queries.category
-        for leaf in leaves:
-            path = set(tree.path(leaf))
-            matches = np.flatnonzero(np.isin(q_cat, list(path)))
-            self._queries_for_leaf[leaf] = matches
-        self._items_for_leaf = {
-            leaf: np.flatnonzero(self.universe.items.category == leaf)
-            for leaf in leaves
-        }
-        self._ads_for_leaf = {
-            leaf: np.flatnonzero(self.universe.ads.category == leaf)
-            for leaf in leaves
-        }
-        self._leaf_click_probs: dict = {}
+        self._queries_for_leaf = [
+            np.flatnonzero(np.isin(q_cat, list(set(tree.path(leaf)))))
+            for leaf in leaves]
+        # per leaf position and product kind (False = item, True = ad):
+        # the leaf's products with their popularity and ring angle
+        self._click_pools = {}
+        for pick_ad, node_type, catalog in (
+                (False, NodeType.ITEM, self.universe.items),
+                (True, NodeType.AD, self.universe.ads)):
+            self._click_pools[pick_ad] = []
+            for leaf in leaves:
+                pool = np.flatnonzero(catalog.category == leaf)
+                self._click_pools[pick_ad].append(
+                    (node_type, pool, catalog.popularity[pool],
+                     catalog.style_angle[pool]))
+        self._leaf_click_cdfs: Dict[int, np.ndarray] = {}
 
-    def _leaf_click_distribution(self, leaf: int) -> np.ndarray:
+    def _leaf_click_cdf(self, leaf_pos: int) -> np.ndarray:
         """P(click target leaf | browsing leaf) ∝ locality^tree_distance.
 
-        Cached; this graded locality is what plants a *hierarchical*
-        interaction structure (nearby tree branches interact more) on
-        top of the within-leaf cliques (cyclic structure).
+        Cached as its :func:`_choice_cdf`; this graded locality is what
+        plants a *hierarchical* interaction structure (nearby tree
+        branches interact more) on top of the within-leaf cliques
+        (cyclic structure).
         """
-        cached = self._leaf_click_probs.get(leaf)
+        cached = self._leaf_click_cdfs.get(leaf_pos)
         if cached is None:
             tree = self.universe.category_tree
+            leaf = int(self._leaves[leaf_pos])
             distances = np.array([tree.tree_distance(leaf, other)
                                   for other in self._leaves], dtype=np.float64)
             weights = self.config.tree_locality ** distances
-            cached = weights / weights.sum()
-            self._leaf_click_probs[leaf] = cached
+            cached = _choice_cdf(weights / weights.sum())
+            self._leaf_click_cdfs[leaf_pos] = cached
         return cached
 
-    def _pick_clicked(self, leaf: int, n_clicks: int) -> List[NodeRef]:
-        """Sample the click sequence for one session browsing ``leaf``.
+    def _pick_clicked(self, leaf_pos: int, n_clicks: int) -> List[NodeRef]:
+        """Sample the click sequence for one session browsing a leaf.
 
         The session anchors at a style angle; click probability combines
         popularity with a von-Mises ring kernel around the anchor, so
@@ -225,28 +289,19 @@ class SponsoredSearchSimulator:
         """
         cfg = self.config
         clicks: List[NodeRef] = []
-        leaf_probs = self._leaf_click_distribution(leaf)
+        leaf_cdf = self._leaf_click_cdf(leaf_pos)
         anchor = self.rng.uniform(0.0, 2 * np.pi)
         for _ in range(n_clicks):
-            target_leaf = int(self.rng.choice(self._leaves, p=leaf_probs))
+            target = self._draw(leaf_cdf)
             pick_ad = self.rng.random() < cfg.ad_click_share
-            if pick_ad:
-                pool = self._ads_for_leaf.get(target_leaf, np.empty(0, dtype=int))
-                popularity = self.universe.ads.popularity
-                angles = self.universe.ads.style_angle
-                node_type = NodeType.AD
-            else:
-                pool = self._items_for_leaf.get(target_leaf, np.empty(0, dtype=int))
-                popularity = self.universe.items.popularity
-                angles = self.universe.items.style_angle
-                node_type = NodeType.ITEM
+            node_type, pool, popularity, angles = \
+                self._click_pools[pick_ad][target]
             if pool.size == 0:
                 continue
             ring = np.exp(cfg.ring_concentration
-                          * (np.cos(angles[pool] - anchor) - 1.0))
-            probs = popularity[pool] * ring
-            probs = probs / probs.sum()
-            chosen = int(self.rng.choice(pool, p=probs))
+                          * (np.cos(angles - anchor) - 1.0))
+            probs = popularity * ring
+            chosen = int(pool[self._draw(_choice_cdf(probs / probs.sum()))])
             clicks.append(NodeRef(node_type, chosen))
         return clicks
 
@@ -258,15 +313,15 @@ class SponsoredSearchSimulator:
             n_sessions = self.rng.poisson(cfg.sessions_per_user_day)
             if n_sessions == 0:
                 continue
-            interests = self._user_interests[user]
+            interest_cdf = self._interest_cdfs[user]
             for _ in range(n_sessions):
-                leaf = int(self.rng.choice(self._leaves, p=interests))
-                candidates = self._queries_for_leaf[leaf]
+                leaf_pos = self._draw(interest_cdf)
+                candidates = self._queries_for_leaf[leaf_pos]
                 if candidates.size == 0:
                     continue
                 query = int(candidates[self.rng.integers(candidates.size)])
                 n_clicks = max(1, self.rng.poisson(cfg.clicks_per_session))
-                clicks = self._pick_clicked(leaf, n_clicks)
+                clicks = self._pick_clicked(leaf_pos, n_clicks)
                 if not clicks:
                     continue
                 sessions.append(Session(user=user, query=query, clicks=clicks))

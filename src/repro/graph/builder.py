@@ -31,6 +31,10 @@ if TYPE_CHECKING:  # avoid a circular import at runtime
     from repro.data.logs import BehaviorLog
     from repro.data.universe import Universe
 
+#: terms held by more rows than this are too generic to be informative
+#: and pair no rows (semantic and co-bid edges alike)
+_MAX_TERM_ROWS = 200
+
 
 class GraphBuilder:
     """Accumulates edges from logs over a :class:`Universe`."""
@@ -74,65 +78,31 @@ class GraphBuilder:
     def _semantic_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Query pairs with term-Jaccard above threshold.
 
-        Uses an inverted term index so the cost is proportional to the
-        number of co-occurring pairs, not |Q|².  Degree is capped to the
-        strongest ``max_semantic_degree`` matches per query so dense
-        term clusters do not blow up the edge count.
+        Overlaps come from the inverted term lists
+        (:func:`_shared_term_pairs`), so the cost is proportional to the
+        number of co-occurring pairs, not |Q|².  Degree is capped to the strongest
+        ``max_semantic_degree`` matches per query (Jaccard descending,
+        then partner id descending) so dense term clusters do not blow
+        up the edge count.
         """
-        terms = self.universe.queries.terms
-        term_sets = [set(int(t) for t in row if t != PAD) for row in terms]
-        inverted: Dict[int, List[int]] = defaultdict(list)
-        for q, row in enumerate(term_sets):
-            for term in row:
-                inverted[term].append(q)
-        overlap: Dict[Tuple[int, int], int] = defaultdict(int)
-        for queries in inverted.values():
-            if len(queries) < 2 or len(queries) > 200:
-                continue  # skip terms too generic to be informative
-            for i, a in enumerate(queries):
-                for b in queries[i + 1:]:
-                    overlap[(a, b)] += 1
-        by_query: Dict[int, List[Tuple[float, int]]] = defaultdict(list)
-        for (a, b), inter in overlap.items():
-            union = len(term_sets[a]) + len(term_sets[b]) - inter
-            if union == 0:
-                continue
-            jaccard = inter / union
-            if jaccard >= self.semantic_threshold:
-                by_query[a].append((jaccard, b))
-                by_query[b].append((jaccard, a))
-        src, dst, weight = [], [], []
-        for a, matches in by_query.items():
-            matches.sort(reverse=True)
-            for jaccard, b in matches[:self.max_semantic_degree]:
-                src.append(a)
-                dst.append(b)
-                weight.append(jaccard)
-        return (np.asarray(src, dtype=np.int64),
-                np.asarray(dst, dtype=np.int64),
-                np.asarray(weight, dtype=np.float64))
+        a, b, inter, sizes = _shared_term_pairs(self.universe.queries.terms)
+        jaccard = inter / (sizes[a] + sizes[b] - inter)
+        keep = jaccard >= self.semantic_threshold
+        a, b, jaccard = a[keep], b[keep], jaccard[keep]
+        # each match is a candidate edge of both endpoints
+        src = np.concatenate([a, b])
+        dst = np.concatenate([b, a])
+        weight = np.concatenate([jaccard, jaccard])
+        order = np.lexsort((-dst, -weight, src))
+        src, dst, weight = src[order], dst[order], weight[order]
+        first = np.searchsorted(src, src, side="left")
+        top = np.arange(src.size) - first < self.max_semantic_degree
+        return src[top], dst[top], weight[top]
 
     def _co_bid_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ad pairs sharing at least one bid keyword."""
-        bid_words = self.universe.ads.bid_words
-        inverted: Dict[int, List[int]] = defaultdict(list)
-        for ad, row in enumerate(bid_words):
-            for word in set(int(w) for w in row if w != PAD):
-                inverted[word].append(ad)
-        pairs: Dict[Tuple[int, int], float] = defaultdict(float)
-        for ads in inverted.values():
-            if len(ads) < 2 or len(ads) > 200:
-                continue
-            for i, a in enumerate(ads):
-                for b in ads[i + 1:]:
-                    pairs[(a, b)] += 1.0
-        if not pairs:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                    np.empty(0))
-        src = np.fromiter((a for a, _ in pairs), dtype=np.int64, count=len(pairs))
-        dst = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
-        weight = np.fromiter(pairs.values(), dtype=np.float64, count=len(pairs))
-        return src, dst, weight
+        a, b, shared, _ = _shared_term_pairs(self.universe.ads.bid_words)
+        return a, b, shared.astype(np.float64)
 
     # -- finalisation -----------------------------------------------------------
 
@@ -179,6 +149,38 @@ class GraphBuilder:
             graph.add_edges(NodeType.AD, EdgeType.CO_BID, NodeType.AD,
                             src, dst, weight, symmetric=True)
         return graph
+
+
+def _shared_term_pairs(rows: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+    """Row pairs that share informative terms, from the inverted lists.
+
+    ``rows`` is an ``(n, slots)`` PAD-filled term table.  Returns
+    ``(a, b, shared, sizes)``: every pair ``a < b`` of rows sharing at
+    least one term held by 2 to ``_MAX_TERM_ROWS`` rows, the number of
+    such shared terms, and each row's count of distinct terms.
+    """
+    n, slots = rows.shape
+    term = rows.ravel()
+    row = np.repeat(np.arange(n, dtype=np.int64), slots)
+    valid = term != PAD
+    # distinct (term, row) incidences, sorted by term then row
+    incidence = np.unique(term[valid] * n + row[valid])
+    term, row = incidence // n, incidence % n
+    sizes = np.bincount(row, minlength=n)
+    starts = np.flatnonzero(np.r_[True, term[1:] != term[:-1]])
+    holders = np.diff(np.r_[starts, term.size])
+    informative = (holders >= 2) & (holders <= _MAX_TERM_ROWS)
+    # each incidence pairs with the later rows of its term's list
+    position = np.arange(term.size) - np.repeat(starts, holders)
+    later = np.where(np.repeat(informative, holders),
+                     np.repeat(holders, holders) - 1 - position, 0)
+    left = np.repeat(np.arange(term.size), later)
+    right = (left + 1 + np.arange(left.size)
+             - np.repeat(np.cumsum(later) - later, later))
+    pairs, shared = np.unique(row[left] * n + row[right], return_counts=True)
+    return pairs // n, pairs % n, shared, sizes
 
 
 def build_graph(universe: "Universe", logs: Sequence["BehaviorLog"],

@@ -67,6 +67,10 @@ class DataConfig:
         if "seed" in self.simulator:
             raise ValueError("set data.seed, not data.simulator['seed']")
         _reject_unknown("data.simulator", self.simulator, SimulatorConfig)
+        try:
+            self.simulator_config()
+        except ValueError as exc:   # name the config key, not the field
+            raise ValueError("data.simulator.%s" % exc) from None
 
     @property
     def eval_days(self) -> int:

@@ -23,54 +23,114 @@ from typing import Optional, Tuple
 import numpy as np
 
 
-#: float64 elements allowed in one ``(rows, k, dim)`` assignment block —
-#: bounds the peak memory of :func:`assign_to_centroids` at ~32 MB
+#: float64 elements allowed in one ``(rows, k, dim)`` broadcast block —
+#: bounds the peak memory of the exact re-check in
+#: :func:`assign_to_centroids` at ~32 MB (the ``(rows, k)`` distance
+#: blocks use the same budget)
 _ASSIGN_BLOCK_ELEMENTS = 2 ** 22
+#: relative gap under which a row's two nearest centroids count as
+#: tied: far above the rounding of either distance form at any
+#: practical ``dim`` (see :func:`_tie_rtol`)
+_TIE_RTOL = 1e-12
+
+
+def _broadcast_d2(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances by the elementwise ``(rows, k, dim)`` broadcast."""
+    return ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+
+
+def _tie_rtol(dim: int, dtype: np.dtype) -> float:
+    """Bound on ``|expanded - broadcast|`` distance per ``‖x‖² + ‖c‖²``.
+
+    Both forms are within ``~(dim + 3)·eps·(‖x‖² + ‖c‖²)`` of the true
+    distance; the expanded form's argmin can only differ from the
+    broadcast one when its best and second-best distances are closer
+    than twice that.
+    """
+    return max(_TIE_RTOL, 8 * (dim + 3) * float(np.finfo(dtype).eps))
 
 
 def assign_to_centroids(data: np.ndarray, centroids: np.ndarray,
                         block_rows: Optional[int] = None) -> np.ndarray:
-    """Nearest-centroid assignment without the full ``(n, k, dim)`` tensor.
+    """Nearest-centroid assignment, equal to the broadcast ``argmin``.
 
-    The naive broadcast ``((data[:, None, :] - centroids) ** 2).sum(-1)``
-    materialises ``n * k * dim`` floats at once — a memory blowup when a
-    coarse quantiser trains over a scaled-up catalog.  This computes the
-    same squared-Euclidean ``argmin`` one block of rows at a time, so
-    peak memory is bounded by ``block_rows * k * dim`` regardless of
-    ``n``.  Each row's distance vector is produced by the exact same
-    elementwise expression, so assignments are bit-identical to the
-    unblocked version.
+    Distances come from the BLAS expansion ``‖x‖² + ‖c‖² − 2x·cᵀ``, one
+    block of rows at a time.  That form rounds differently from the
+    elementwise ``((x − c)²).sum()``, so every row whose best and
+    second-best expanded distances lie within the rounding bound
+    :func:`_tie_rtol` (exact ties, duplicate centroids), or which holds
+    a non-finite distance, is re-assigned with the elementwise
+    broadcast.  Every other row has a margin wider than both forms'
+    rounding, so its argmin is the same under either; assignments
+    therefore equal the full broadcast's, first-index tie-breaking
+    included.  Peak memory stays bounded by ``block_rows`` regardless
+    of ``n``.
     """
     n = data.shape[0]
     k, dim = centroids.shape
+    if k == 1:
+        return np.zeros(n, dtype=np.int64)
     if block_rows is None:
-        block_rows = max(1, _ASSIGN_BLOCK_ELEMENTS // max(k * dim, 1))
+        block_rows = max(1, _ASSIGN_BLOCK_ELEMENTS // max(k, 1))
+    check_rows = max(1, min(block_rows,
+                            _ASSIGN_BLOCK_ELEMENTS // max(k * dim, 1)))
+    c_norm2 = np.einsum("ij,ij->i", centroids, centroids)
+    rtol = _tie_rtol(dim, np.result_type(data, centroids))
     assign = np.empty(n, dtype=np.int64)
     for start in range(0, n, block_rows):
         chunk = data[start:start + block_rows]
-        d2 = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        assign[start:start + block_rows] = np.argmin(d2, axis=1)
+        x_norm2 = np.einsum("ij,ij->i", chunk, chunk)
+        d2 = x_norm2[:, None] + c_norm2[None, :] - 2.0 * (chunk @ centroids.T)
+        assign[start:start + chunk.shape[0]] = np.argmin(d2, axis=1)
+        nearest2 = np.partition(d2, 1, axis=1)[:, :2]
+        tol = rtol * (x_norm2 + c_norm2.max())
+        # rows with any non-finite distance (inf/NaN inputs, overflow)
+        # are re-checked too: their NaNs order differently in each form
+        ambiguous = np.flatnonzero(~(nearest2[:, 1] - nearest2[:, 0] > tol)
+                                   | ~np.isfinite(d2).all(axis=1))
+        for lo in range(0, ambiguous.size, check_rows):
+            rows = ambiguous[lo:lo + check_rows]
+            assign[start + rows] = np.argmin(
+                _broadcast_d2(chunk[rows], centroids), axis=1)
     return assign
+
+
+def _cluster_sums(data: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster row sums, added in the order ``members.sum(axis=0)`` uses.
+
+    numpy reduces a multi-column float block row by row from ``+0.0``
+    in the block's dtype; one scatter-add over the rows in order does
+    the same for every cluster at once.  A single column is instead
+    summed pairwise, so that case reduces each cluster's members
+    directly.
+    """
+    if data.shape[1] == 1:
+        return np.array([[data[assign == j, 0].sum()] for j in range(k)])
+    sums = np.zeros((k, data.shape[1]), dtype=data.dtype)
+    np.add.at(sums, assign, data)
+    return sums
 
 
 def _kmeans(rng: np.random.Generator, data: np.ndarray, k: int,
             iterations: int = 12) -> np.ndarray:
-    """Lightweight Lloyd's k-means returning ``(k, dim)`` centroids."""
+    """Lightweight Lloyd's k-means returning ``(k, dim)`` centroids.
+
+    Each update sets a cluster's centroid to its members' mean, computed
+    exactly as a masked ``members.mean(axis=0)`` would (see
+    :func:`_cluster_sums`) without one pass over the data per cluster.
+    """
     n = data.shape[0]
     k = min(k, n)
     picks = rng.choice(n, size=k, replace=False)
     centroids = data[picks].copy()
     for _ in range(iterations):
-        # blocked assignment by squared Euclidean distance: memory stays
-        # bounded at scaled catalogs (IVF coarse training), assignments
-        # bit-identical to the full-broadcast version
         assign = assign_to_centroids(data, centroids)
-        for j in range(k):
-            members = data[assign == j]
-            if members.shape[0]:
-                centroids[j] = members.mean(axis=0)
-            else:  # re-seed empty clusters
-                centroids[j] = data[int(rng.integers(n))]
+        counts = np.bincount(assign, minlength=k)
+        sums = _cluster_sums(data, assign, k)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        for j in np.flatnonzero(~filled):   # re-seed empty clusters
+            centroids[j] = data[int(rng.integers(n))]
     return centroids
 
 

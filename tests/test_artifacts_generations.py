@@ -268,3 +268,53 @@ class TestPipelineGenerations:
         out = capsys.readouterr().out
         assert "serving generation 000001" in out
         assert "query 3" in out
+
+
+class TestCompressedGenerations:
+    """Artifacts are written uncompressed; generations published by the
+    zlib-compressing writer must still verify, load and serve."""
+
+    def test_new_archives_are_stored_uncompressed(self, gen_pipeline):
+        import zipfile
+        for name in (ArtifactStore.MODEL, ArtifactStore.INDICES):
+            path = gen_pipeline.store.generation_dir(1) / name
+            with zipfile.ZipFile(path) as archive:
+                assert {info.compress_type for info in archive.infolist()} \
+                    == {zipfile.ZIP_STORED}
+
+    def test_compressed_generation_verifies_and_serves(
+            self, gen_pipeline, tmp_path, monkeypatch):
+        import shutil
+        import zipfile
+        from reference.artifacts import atomic_savez_compressed
+        from repro import io
+        root = tmp_path / "compressed"
+        shutil.copytree(gen_pipeline.store.root, root)
+        store = ArtifactStore(root, create=False)
+        ctx = gen_pipeline.ctx
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "atomic_savez", atomic_savez_compressed)
+            io.save_model(ctx.model, store.path(ArtifactStore.MODEL))
+            io.save_index_set(ctx.index_set, store.path(ArtifactStore.INDICES))
+        generation = store.publish_generation()
+        indices = store.generation_dir(generation) / ArtifactStore.INDICES
+        with zipfile.ZipFile(indices) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}
+        store.verify_generation(generation)
+
+        reloaded = Pipeline.from_artifacts(root, generation=generation)
+        assert reloaded.serving_generation == generation
+        queries = [3, 14, 15]
+        for ra, rb in zip(gen_pipeline.engine.serve(queries, k=5),
+                          reloaded.serve(queries, k=5)):
+            np.testing.assert_array_equal(ra.ads, rb.ads)
+        model = io.load_model(store.generation_dir(generation)
+                              / ArtifactStore.MODEL, ctx.train_graph)
+        for old, new in zip(ctx.model.parameters(), model.parameters()):
+            assert np.array_equal(old.data, new.data)
+        stored = io.load_index_set(indices)
+        for relation, index in ctx.index_set.indices.items():
+            assert np.array_equal(stored[relation].ids, index.ids)
+            assert np.array_equal(stored[relation].distances,
+                                  index.distances)

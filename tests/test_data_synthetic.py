@@ -124,3 +124,56 @@ class TestLogs:
         q0 = [s.query for s in daily_logs[0]]
         q1 = [s.query for s in daily_logs[1]]
         assert q0 != q1
+
+
+#: (key, invalid value) pairs; each must fail at config load, before any
+#: simulation, with an error naming ``data.simulator.<key>``
+_BAD_SIMULATOR_VALUES = [
+    ("bid_word_slots", 0), ("query_term_slots", 0), ("title_term_slots", 0),
+    ("num_users", -3), ("num_queries", 0), ("num_brands", 0),
+    ("tree_depth", 0), ("tree_branching", 0), ("terms_per_category", 0),
+    ("num_items", 2.5), ("num_ads", True), ("num_shops", "many"),
+    ("ad_click_share", 1.5), ("broad_query_share", -0.1),
+    ("tree_locality", 2.0), ("sessions_per_user_day", 0.0),
+    ("clicks_per_session", -1.0), ("price_scale", 0),
+    ("ring_concentration", -1.0), ("sessions_per_user_day", float("nan")),
+    ("clicks_per_session", float("inf")),
+]
+
+
+class TestSimulatorConfigValidation:
+    @pytest.mark.parametrize("key,value", _BAD_SIMULATOR_VALUES)
+    def test_direct_construction_rejects(self, key, value):
+        with pytest.raises(ValueError, match=r"^%s must be" % key):
+            SimulatorConfig(**{key: value})
+
+    @pytest.mark.parametrize("key,value", _BAD_SIMULATOR_VALUES)
+    def test_from_dict_names_the_key(self, key, value):
+        from repro.pipeline import PipelineConfig
+        with pytest.raises(ValueError, match=r"data\.simulator\.%s" % key):
+            PipelineConfig.from_dict({"data": {"simulator": {key: value}}})
+
+    @pytest.mark.parametrize("assignment", [
+        "data.simulator.bid_word_slots=0", "data.simulator.num_users=-3",
+        "data.simulator.ad_click_share=1.5",
+        "data.simulator.sessions_per_user_day=0"])
+    def test_set_override_names_the_key(self, assignment):
+        from repro.pipeline import PipelineConfig
+        from repro.pipeline.cli import main
+        key = assignment.split("=")[0]
+        with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+            PipelineConfig().with_overrides([assignment])
+        with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+            main(["run", "--quiet", "--set", assignment])
+
+    def test_boundary_values_accepted(self):
+        cfg = SimulatorConfig(num_queries=1, bid_word_slots=1,
+                              ad_click_share=0.0, broad_query_share=1.0,
+                              tree_locality=1.0, ring_concentration=0.0)
+        assert cfg.bid_word_slots == 1
+        sim = SponsoredSearchSimulator(SimulatorConfig(
+            num_queries=20, num_items=30, num_ads=10, num_users=5,
+            tree_depth=2, tree_branching=2, bid_word_slots=1,
+            query_term_slots=1, title_term_slots=1, seed=3))
+        assert (sim.universe.ads.bid_words != PAD).all()
+        assert sim.simulate_days(1)[0].day == 0

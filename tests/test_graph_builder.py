@@ -129,3 +129,78 @@ class TestBuilderAccumulation:
         graph = (GraphBuilder(universe).add_log(daily_logs[0])
                  .add_log(daily_logs[1]).build())
         assert graph.num_edges() > 0
+
+
+def _triples(pairs):
+    src, dst, weight = pairs
+    return sorted(zip(src.tolist(), dst.tolist(), weight.tolist()))
+
+
+@pytest.fixture(scope="module")
+def dense_universe():
+    """Default-size universe: term lists long enough to cross the
+    200-holder cut-off and Jaccard ties under the degree cap."""
+    from repro.data import SimulatorConfig, SponsoredSearchSimulator
+    return SponsoredSearchSimulator(SimulatorConfig(seed=7)).universe
+
+
+class TestArrayPairsMatchDictLoops:
+    """The array-built semantic/co-bid pairs equal the dict-loop reference
+    edge for edge, and the graphs built from them are CSR-identical."""
+
+    @pytest.mark.parametrize("threshold,degree",
+                             [(0.4, 20), (0.2, 3), (0.0, 5), (1.0, 1)])
+    def test_semantic_pairs(self, universe, dense_universe, threshold,
+                            degree):
+        from reference.graph_pairs import semantic_pairs
+        for uni in (universe, dense_universe):
+            builder = GraphBuilder(uni, semantic_threshold=threshold,
+                                   max_semantic_degree=degree)
+            got = builder._semantic_pairs()
+            want = semantic_pairs(uni.queries.terms, threshold, degree)
+            assert _triples(got) == _triples(want)
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+
+    def test_co_bid_pairs(self, universe, dense_universe):
+        from reference.graph_pairs import co_bid_pairs
+        for uni in (universe, dense_universe):
+            got = GraphBuilder(uni)._co_bid_pairs()
+            want = co_bid_pairs(uni.ads.bid_words)
+            assert _triples(got) == _triples(want)
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+
+    def test_degree_cap_tie_order(self):
+        # query 0 matches 1..4 at equal Jaccard; a cap of 2 keeps the
+        # two highest partner ids, as ``sort(reverse=True)`` does
+        from types import SimpleNamespace
+        from reference.graph_pairs import semantic_pairs
+        terms = np.array([[5, 6, -1], [5, 6, 7], [5, 6, 8], [5, 6, 9],
+                          [5, 6, 10]])
+        uni = SimpleNamespace(queries=SimpleNamespace(terms=terms))
+        got = GraphBuilder(uni, semantic_threshold=0.5,
+                           max_semantic_degree=2)._semantic_pairs()
+        assert _triples(got) == _triples(semantic_pairs(terms, 0.5, 2))
+        assert sorted(got[1][got[0] == 0].tolist()) == [3, 4]
+
+    def test_graphs_are_csr_identical(self, dense_universe, monkeypatch):
+        from repro.data import SimulatorConfig, SponsoredSearchSimulator
+        from reference import graph_pairs
+        logs = SponsoredSearchSimulator(SimulatorConfig(
+            seed=7, num_users=100)).simulate_days(1)
+        fast = GraphBuilder(dense_universe).add_logs(logs).build()
+        monkeypatch.setattr(
+            GraphBuilder, "_semantic_pairs",
+            lambda self: graph_pairs.semantic_pairs(
+                self.universe.queries.terms, self.semantic_threshold,
+                self.max_semantic_degree))
+        monkeypatch.setattr(
+            GraphBuilder, "_co_bid_pairs",
+            lambda self: graph_pairs.co_bid_pairs(
+                self.universe.ads.bid_words))
+        slow = GraphBuilder(dense_universe).add_logs(logs).build()
+        assert fast.adjacency_keys == slow.adjacency_keys
+        for key in fast.adjacency_keys:
+            a, b = fast._adj[key], slow._adj[key]
+            for field in ("indptr", "indices", "weights"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+                assert getattr(a, field).dtype == getattr(b, field).dtype

@@ -5,6 +5,7 @@ import pytest
 
 from repro.retrieval.quantization import (PQIndex, assign_to_centroids,
                                           recall_at_k, _kmeans)
+from reference.kmeans import broadcast_assign, loop_kmeans
 
 
 class TestAssignToCentroids:
@@ -27,6 +28,89 @@ class TestAssignToCentroids:
         k, dim = 64, 16
         block_rows = max(1, _ASSIGN_BLOCK_ELEMENTS // (k * dim))
         assert block_rows * k * dim <= _ASSIGN_BLOCK_ELEMENTS
+
+
+class TestBroadcastParity:
+    """The BLAS-expansion assignment and the scatter-add k-means equal the
+    broadcast ``argmin`` and per-cluster ``mean`` loop they replace, bit
+    for bit — including ties the expansion cannot resolve itself."""
+
+    def test_exact_midpoint_ties(self, monkeypatch):
+        # rows on the plane x=0 are exactly equidistant from centroids 0
+        # and 2; the broadcast picks the first, and so must the expansion
+        from repro.retrieval import quantization
+        checked = []
+        original = quantization._broadcast_d2
+        monkeypatch.setattr(quantization, "_broadcast_d2",
+                            lambda rows, c: checked.append(len(rows))
+                            or original(rows, c))
+        centroids = np.array([[1.0, 0, 0], [5, 5, 5], [-1, 0, 0], [0, 3, 0]])
+        rng = np.random.default_rng(5)
+        data = np.zeros((50, 3))
+        data[:, 1:] = np.round(rng.uniform(-1, 1, size=(50, 2)), 2)
+        assign = assign_to_centroids(data, centroids)
+        assert np.array_equal(assign, broadcast_assign(data, centroids))
+        assert sum(checked) == 50 and set(assign.tolist()) <= {0, 3}
+
+    def test_duplicate_centroids_take_the_first(self):
+        rng = np.random.default_rng(6)
+        data = rng.normal(size=(200, 5))
+        centroids = data[[3, 17, 3, 40, 17]].copy()
+        assign = assign_to_centroids(data, centroids, block_rows=32)
+        assert np.array_equal(assign, broadcast_assign(data, centroids))
+        assert not np.isin(assign, [2, 4]).any()
+
+    def test_non_finite_rows_match(self):
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(40, 3))
+        data[3, 1] = np.inf
+        data[7, 0] = np.nan
+        data[9] = 1e200
+        centroids = rng.normal(size=(6, 3))
+        centroids[4, 2] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.array_equal(assign_to_centroids(data, centroids),
+                                  broadcast_assign(data, centroids))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_cases_with_planted_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n, dim, k = (int(rng.integers(1, 200)), int(rng.integers(1, 12)),
+                     int(rng.integers(1, 24)))
+        data = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+        if seed % 3 == 0:
+            data = np.round(data, 1)   # duplicate rows and signed zeros
+        if seed % 4 == 1:
+            data = data.astype(np.float32)
+        centroids = data[rng.integers(0, n, size=k)].copy()
+        if k > 2:
+            centroids[1] = centroids[0]
+            data[: n // 2] = (centroids[0] + centroids[-1]) / 2
+        for block_rows in (None, 1, 13):
+            assert np.array_equal(
+                assign_to_centroids(data, centroids, block_rows=block_rows),
+                broadcast_assign(data, centroids))
+        iterations = int(rng.integers(1, 6))
+        fast_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        fast = _kmeans(fast_rng, data, k, iterations=iterations)
+        loop = loop_kmeans(loop_rng, data, k, iterations=iterations)
+        assert fast.tobytes() == loop.tobytes()
+        assert (fast_rng.bit_generator.state
+                == loop_rng.bit_generator.state)
+
+    def test_empty_clusters_reseed_in_the_same_order(self):
+        # two distinct rows, twelve centroids: duplicate centroids leave
+        # clusters empty, and their re-seeds must draw identically
+        data = np.repeat([[0.0, 0.0], [1.0, 1.0]], 30, axis=0)
+        fast_rng, loop_rng, picks_only = (np.random.default_rng(2)
+                                          for _ in range(3))
+        fast = _kmeans(fast_rng, data, 12, iterations=4)
+        loop = loop_kmeans(loop_rng, data, 12, iterations=4)
+        picks_only.choice(60, size=12, replace=False)
+        assert fast.tobytes() == loop.tobytes()
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert fast_rng.bit_generator.state != picks_only.bit_generator.state
 
 
 class TestKMeans:
